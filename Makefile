@@ -1,6 +1,6 @@
 # Convenience targets for the FUIoV reproduction.
 
-.PHONY: install test chaos bench bench-smoke bench-core bench-parallel bench-service bench-forest bench-slo bench-storage-scale bench-prefetch bench-live bench-report examples experiments telemetry-demo docs-lint clean
+.PHONY: install test chaos bench bench-smoke bench-e2e bench-core bench-parallel bench-service bench-forest bench-slo bench-storage-scale bench-prefetch bench-live bench-report examples experiments telemetry-demo docs-lint clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -18,6 +18,14 @@ bench:
 
 bench-smoke:
 	REPRO_SCALE=smoke pytest benchmarks/ --benchmark-only
+
+# End-to-end RSU benchmark (perfbench/), one traced 5 s run of each
+# workload at seed 1: fails when a run misses the benchmark's
+# correctness gate or the layer tracer's wrappers no longer bind.
+bench-e2e:
+	for w in live-iov burst-dict serial-cold; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 5 --trace 1 || exit 1; \
+	done
 
 # Serial-vs-process baseline (bitwise identity asserted, speedup and
 # CPU count recorded into benchmarks/results/parallel.json).

@@ -264,7 +264,7 @@ class ErasureDaemon:
                         break
                     ticket = self._queue.popleft()
                     self._set_queue_gauge()
-                self._process(ticket)
+                self._process([ticket])
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
             while self._queue or self._inflight:
@@ -490,10 +490,7 @@ class ErasureDaemon:
                 self._inflight += len(batch)
                 self._set_queue_gauge(locked=True)
             try:
-                if len(batch) > 1:
-                    self._process_fused(batch)
-                else:
-                    self._process(ticket)
+                self._process(batch)
             finally:
                 with self._cond:
                     self._inflight -= len(batch)
@@ -511,126 +508,24 @@ class ErasureDaemon:
         )
         self._finish(ticket, "stale", response=response)
 
-    def _process(self, ticket: _Ticket) -> None:
-        request = ticket.request
-        deadline = request.deadline
-        queue_seconds = self._clock() - ticket.enqueued_at
-        telemetry = current_telemetry()
-        if telemetry.enabled:
-            telemetry.observe("serving_queue_wait_seconds", queue_seconds)
-        if deadline is not None and deadline.expired():
-            self._finish(
-                ticket,
-                "deadline",
-                error=DeadlineExceededError(
-                    f"deadline of {deadline.budget_seconds:.3f}s expired "
-                    "while queued"
-                ),
-            )
-            return
-        # Degraded modes while the breaker refuses service.  serve_stale
-        # answers immediately; queue_only holds the request (deadline
-        # still polices the wait) until a probe slot opens.
-        while not self.breaker.allow():
-            if self.degraded_mode == "serve_stale":
-                self._stale_response(ticket, queue_seconds)
-                return
-            if deadline is not None and deadline.expired():
-                self._finish(
-                    ticket,
-                    "deadline",
-                    error=DeadlineExceededError(
-                        f"deadline of {deadline.budget_seconds:.3f}s expired "
-                        "while held by the open breaker"
-                    ),
-                )
-                return
-            with self._cond:
-                if self._stopping:
-                    self._finish(ticket, "rejected", error=RejectedError("shutdown"))
-                    return
-                self._cond.wait(timeout=0.005)
+    def _process(self, tickets: list) -> None:
+        """Serve one dequeued ticket, or a coalesced group as one forest
+        execution.
 
-        cancel_check = deadline.check if deadline is not None else None
-
-        def run():
-            if len(request.client_ids) == 1:
-                outcome = self.service.handle_erasure_request(
-                    request.client_ids[0], cancel_check=cancel_check
-                )
-                return [outcome]
-            return self.service.handle_erasure_batch(
-                request.client_ids, cancel_check=cancel_check
-            )
-
-        started = self._clock()
-        try:
-            if self.retry_policy is not None:
-                budget = deadline.remaining() if deadline is not None else None
-                retried = self.retry_policy.call(run, budget=budget)
-                if not retried.succeeded:
-                    raise TransientClientError(
-                        "transient failures exhausted the retry budget"
-                    )
-                outcomes = retried.value
-            else:
-                outcomes = run()
-        except DeadlineExceededError as exc:
-            # The replay aborted at a committed round boundary; the
-            # salvaged prefix stays in the service's cache.  Says
-            # nothing about substrate health: if this execution held
-            # the half-open probe slot, return it undecided so the next
-            # request can probe instead of the breaker wedging.
-            self.breaker.release_probe()
-            if telemetry.enabled:
-                telemetry.inc("serving_deadline_aborts_total")
-            self._finish(ticket, "deadline", error=exc)
-            return
-        except _CLIENT_ERRORS as exc:
-            # The client asked for something invalid — no substrate
-            # verdict either way; release any held probe slot.
-            self.breaker.release_probe()
-            self._finish(ticket, "error", error=exc)
-            return
-        except Exception as exc:  # substrate fault: feed the breaker
-            self.breaker.record_failure()
-            _log.warning("erasure request failed: %s", exc)
-            self._finish(ticket, "error", error=exc)
-            return
-        service_seconds = self._clock() - started
-        self.breaker.record_success()
-        with self._cond:
-            # EMA over per-request service time drives the retry-after
-            # hint handed to shed clients.
-            if self._ema_service_seconds == 0.0:
-                self._ema_service_seconds = service_seconds
-            else:
-                self._ema_service_seconds = (
-                    0.8 * self._ema_service_seconds + 0.2 * service_seconds
-                )
-        self._last_params = outcomes[-1].params
-        response = ServiceResponse(
-            status="ok",
-            params=outcomes[-1].params,
-            outcomes=list(outcomes),
-            queue_seconds=queue_seconds,
-            service_seconds=service_seconds,
-        )
-        self._finish(ticket, "ok", response=response)
-
-    def _process_fused(self, tickets: list) -> None:
-        """Serve coalesced single-vehicle tickets as one forest execution.
-
-        Mirrors :meth:`_process` per ticket — queue-wait accounting,
-        dequeue-time deadline policing, degraded modes — then runs the
-        survivors through
+        Per ticket: queue-wait accounting and dequeue-time deadline
+        policing, then the degraded modes while the breaker refuses
+        service.  The survivors run as one call — a lone ticket through
+        :meth:`~repro.unlearning.service.UnlearningService.handle_erasure_request`
+        or ``handle_erasure_batch`` under ``retry_policy``, a group
+        through
         :meth:`~repro.unlearning.service.UnlearningService.handle_erasure_batch_fused`
         with each ticket's deadline as its branch's cancel check.  The
-        group is one breaker verdict: any committed member proves the
+        call is one breaker verdict: any committed ticket proves the
         substrate healthy, any non-client failure feeds the breaker,
-        and a group that only hit deadlines/aborts leaves the probe
-        slot undecided.
+        and a call that only hit deadlines/aborts/invalid requests
+        leaves the probe slot undecided.
         """
+        fused = len(tickets) > 1
         telemetry = current_telemetry()
         live = []
         for ticket in tickets:
@@ -651,6 +546,9 @@ class ErasureDaemon:
             live.append((ticket, queue_seconds))
         if not live:
             return
+        # Degraded modes while the breaker refuses service.  serve_stale
+        # answers immediately; queue_only holds the tickets (deadlines
+        # still police the wait) until a probe slot opens.
         while not self.breaker.allow():
             if self.degraded_mode == "serve_stale":
                 for ticket, queue_seconds in live:
@@ -682,50 +580,58 @@ class ErasureDaemon:
                     return
                 self._cond.wait(timeout=0.005)
 
-        if telemetry.enabled:
-            telemetry.inc("serving_fused_tickets_total", len(live))
-        ids = [ticket.request.client_ids[0] for ticket, _ in live]
-        checks = [
-            ticket.request.deadline.check
-            if ticket.request.deadline is not None
-            else None
-            for ticket, _ in live
-        ]
         started = self._clock()
         try:
-            report = self.service.handle_erasure_batch_fused(
-                ids, cancel_checks=checks
-            )
+            results = self._execute([ticket for ticket, _ in live], fused)
         except Exception as exc:
-            # The fused executor itself failed — a substrate verdict
-            # for the whole group.
-            self.breaker.record_failure()
-            _log.warning("fused erasure batch failed: %s", exc)
-            for ticket, _ in live:
-                self._finish(ticket, "error", error=exc)
-            return
+            results = [(None, exc)] * len(live)
+            returned = False
+        else:
+            returned = True
         service_seconds = self._clock() - started
 
-        committed = 0
-        substrate_fault = False
-        for (ticket, queue_seconds), outcome, error in zip(
-            live, report.outcomes, report.errors
-        ):
-            if outcome is not None:
-                committed += 1
-                self._last_params = outcome.params
+        # One breaker verdict and EMA update per call, settled before any
+        # ticket resolves.  Deadlines, dependent aborts and invalid
+        # requests say nothing about substrate health: without a commit
+        # or a substrate fault, a held half-open probe slot is returned
+        # undecided so the breaker cannot wedge.
+        errors = [error for _, error in results]
+        no_verdict = (DeadlineExceededError, DependentAbortError) + _CLIENT_ERRORS
+        if any(error is None for error in errors):
+            self.breaker.record_success()
+        elif any(not isinstance(error, no_verdict) for error in errors):
+            self.breaker.record_failure()
+        else:
+            self.breaker.release_probe()
+        if returned:
+            with self._cond:
+                # EMA over per-ticket service time drives the
+                # retry-after hint handed to shed clients.
+                per_ticket = service_seconds / len(live)
+                if self._ema_service_seconds == 0.0:
+                    self._ema_service_seconds = per_ticket
+                else:
+                    self._ema_service_seconds = (
+                        0.8 * self._ema_service_seconds + 0.2 * per_ticket
+                    )
+
+        for (ticket, queue_seconds), (outcomes, error) in zip(live, results):
+            if error is None:
+                self._last_params = outcomes[-1].params
                 self._finish(
                     ticket,
                     "ok",
                     response=ServiceResponse(
                         status="ok",
-                        params=outcome.params,
-                        outcomes=[outcome],
+                        params=outcomes[-1].params,
+                        outcomes=list(outcomes),
                         queue_seconds=queue_seconds,
                         service_seconds=service_seconds,
                     ),
                 )
             elif isinstance(error, DeadlineExceededError):
+                # The replay aborted at a committed round boundary; the
+                # salvaged prefix stays in the service's forest.
                 if telemetry.enabled:
                     telemetry.inc("serving_deadline_aborts_total")
                 self._finish(ticket, "deadline", error=error)
@@ -737,20 +643,49 @@ class ErasureDaemon:
             elif isinstance(error, _CLIENT_ERRORS):
                 self._finish(ticket, "error", error=error)
             else:
-                substrate_fault = True
+                _log.warning("erasure request failed: %s", error)
                 self._finish(ticket, "error", error=error)
 
-        if committed:
-            self.breaker.record_success()
-        elif substrate_fault:
-            self.breaker.record_failure()
-        else:
-            self.breaker.release_probe()
-        with self._cond:
-            per_ticket = service_seconds / len(live)
-            if self._ema_service_seconds == 0.0:
-                self._ema_service_seconds = per_ticket
-            else:
-                self._ema_service_seconds = (
-                    0.8 * self._ema_service_seconds + 0.2 * per_ticket
+    def _execute(self, tickets: list, fused: bool) -> list:
+        """Run the service call; ``(outcomes, error)`` per ticket."""
+        if fused:
+            telemetry = current_telemetry()
+            if telemetry.enabled:
+                telemetry.inc("serving_fused_tickets_total", len(tickets))
+            report = self.service.handle_erasure_batch_fused(
+                [ticket.request.client_ids[0] for ticket in tickets],
+                cancel_checks=[
+                    ticket.request.deadline.check
+                    if ticket.request.deadline is not None
+                    else None
+                    for ticket in tickets
+                ],
+            )
+            return [
+                (None if outcome is None else [outcome], error)
+                for outcome, error in zip(report.outcomes, report.errors)
+            ]
+        (ticket,) = tickets
+        request = ticket.request
+        deadline = request.deadline
+        cancel_check = deadline.check if deadline is not None else None
+
+        def run():
+            if len(request.client_ids) == 1:
+                outcome = self.service.handle_erasure_request(
+                    request.client_ids[0], cancel_check=cancel_check
                 )
+                return [outcome]
+            return self.service.handle_erasure_batch(
+                request.client_ids, cancel_check=cancel_check
+            )
+
+        if self.retry_policy is None:
+            return [(run(), None)]
+        budget = deadline.remaining() if deadline is not None else None
+        retried = self.retry_policy.call(run, budget=budget)
+        if not retried.succeeded:
+            raise TransientClientError(
+                "transient failures exhausted the retry budget"
+            )
+        return [(retried.value, None)]

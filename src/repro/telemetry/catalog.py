@@ -318,40 +318,8 @@ _ALL_SPECS = [
     ),
     # -------------------------------------------------------- unlearning.recovery
     _spec(
-        "recovery_rounds_total", COUNTER, "rounds", "repro.unlearning.recovery",
-        "Recovery rounds replayed (a model step was taken).",
-    ),
-    _spec(
-        "recovery_round_seconds", HISTOGRAM, "seconds", "repro.unlearning.recovery",
-        "Wall time of one recovery-replay round (span).",
-    ),
-    _spec(
-        "recovery_rounds_skipped_total", COUNTER, "rounds", "repro.unlearning.recovery",
-        "Replay rounds skipped (no remaining participant, damaged "
-        "checkpoint, or no decodable entry).",
-    ),
-    _spec(
-        "recovery_missing_entries_total", COUNTER, "records", "repro.unlearning.recovery",
-        "Per-(round, client) gradient entries missing or undecodable during "
-        "replay.",
-    ),
-    _spec(
-        "recovery_displacement_norm", GAUGE, "l2norm", "repro.unlearning.recovery",
-        "‖w̄_t − w_t‖₂ — recovered-vs-historical model displacement at the "
-        "latest replayed round (the Eq. 6 input).",
-    ),
-    _spec(
-        "recovery_progress", GAUGE, "fraction", "repro.unlearning.recovery",
-        "Completed fraction of the replay window [F, T).",
-    ),
-    _spec(
         "recovery_checkpoints_total", COUNTER, "checkpoints", "repro.unlearning.recovery",
         "Replay-state checkpoints committed to disk.",
-    ),
-    _spec(
-        "recovery_parallel_workers", GAUGE, "workers", "repro.unlearning.recovery",
-        "Worker slots of the recovery estimation pool (thread/process "
-        "backends only).",
     ),
     _spec(
         "recovery_parallel_dispatch_seconds", HISTOGRAM, "seconds",
@@ -407,6 +375,40 @@ _ALL_SPECS = [
     ),
     # ----------------------------------------------------------- unlearning.forest
     _spec(
+        "recovery_rounds_total", COUNTER, "rounds", "repro.unlearning.forest",
+        "Recovery rounds replayed (a model step was taken).",
+    ),
+    _spec(
+        "recovery_round_seconds", HISTOGRAM, "seconds", "repro.unlearning.forest",
+        "Wall time of one replay round of the engine across its live "
+        "branches: participant filter, round read, Eq. 6/7 estimates, "
+        "aggregation and the stacked step (span).",
+    ),
+    _spec(
+        "recovery_rounds_skipped_total", COUNTER, "rounds", "repro.unlearning.forest",
+        "Replay rounds skipped (no remaining participant, damaged "
+        "checkpoint, or no decodable entry).",
+    ),
+    _spec(
+        "recovery_missing_entries_total", COUNTER, "records", "repro.unlearning.forest",
+        "Per-(round, client) gradient entries missing or undecodable during "
+        "replay.",
+    ),
+    _spec(
+        "recovery_displacement_norm", GAUGE, "l2norm", "repro.unlearning.forest",
+        "‖w̄_t − w_t‖₂ — recovered-vs-historical model displacement at the "
+        "latest replayed round (the Eq. 6 input).",
+    ),
+    _spec(
+        "recovery_progress", GAUGE, "fraction", "repro.unlearning.forest",
+        "Completed fraction of the replay window [F, T).",
+    ),
+    _spec(
+        "recovery_parallel_workers", GAUGE, "workers", "repro.unlearning.forest",
+        "Worker slots of the recovery estimation pool (thread/process "
+        "backends only).",
+    ),
+    _spec(
         "recovery_forest_forks_total", COUNTER, "events",
         "repro.unlearning.forest",
         "Sibling branches created when fused replays diverged "
@@ -421,7 +423,8 @@ _ALL_SPECS = [
     _spec(
         "recovery_forest_fused_branches", HISTOGRAM, "branches",
         "repro.unlearning.forest",
-        "Requests fused into one shared-tree replay call.",
+        "Requests served by one replay-engine call (1 for "
+        "SignRecoveryUnlearner.unlearn).",
     ),
     _spec(
         "recovery_forest_shared_rounds_total", COUNTER, "rounds",

@@ -37,11 +37,7 @@ from repro.unlearning.estimator import (
 )
 from repro.unlearning.forest import BranchOutcome, FusedReplayStats, fused_unlearn
 from repro.unlearning.lbfgs import LbfgsBuffer, lbfgs_hessian_dense
-from repro.unlearning.recovery import (
-    ReplayForest,
-    ReplayPrefixCache,
-    SignRecoveryUnlearner,
-)
+from repro.unlearning.recovery import ReplayForest, SignRecoveryUnlearner
 from repro.unlearning.service import (
     MERGE_MODES,
     DependentAbortError,
@@ -66,7 +62,6 @@ __all__ = [
     "MERGE_MODES",
     "NegatedPseudoGradientUnlearner",
     "ReplayForest",
-    "ReplayPrefixCache",
     "RetrainUnlearner",
     "ServiceBusyError",
     "SignRecoveryUnlearner",

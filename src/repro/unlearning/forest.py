@@ -1,8 +1,15 @@
-"""Fused multi-branch replay over the shared replay forest.
+"""Algorithm 1's replay engine: one execution tree for K ≥ 1 requests.
+
+This module holds the only implementation of the recovery replay
+(backtrack to ``w_F``, then replay rounds ``F … T−1`` with Eq. 6
+estimates, Eq. 7 clipping and periodic pair refresh).
+:meth:`SignRecoveryUnlearner.unlearn
+<repro.unlearning.recovery.SignRecoveryUnlearner.unlearn>` is its call
+with one request; :func:`fused_unlearn` serves K concurrent forget sets.
 
 :class:`~repro.unlearning.recovery.ReplayForest` makes *successive*
 erasure requests cheap by resuming each one from the deepest shared
-snapshot.  This module makes *concurrent* requests cheap: K forget sets
+snapshot.  The executor makes *concurrent* requests cheap: K forget sets
 replay through **one execution tree** in lockstep.  Each tree node holds
 the live state of every request whose trajectory is still identical —
 by the effective-forget-set argument (``docs/REPLAY.md``), request
@@ -11,23 +18,24 @@ through ``S_m ∩ P[F..t)`` — and the node **forks** at the first round
 ``t`` where its members partition by ``S_m ∩ P_t`` (the
 fork-at-divergence rule).  Until then, every shared round is decoded,
 estimated, snapshotted, and stepped **once** instead of once per
-request.
+request.  Only the rounds some branch reads are decoded.
 
 Branch fusion: live branch parameters live in a stacked
 :class:`~repro.nn.arena.BranchArena` ``(K, d)`` matrix.  Per round, the
 Eq. 6 displacement for all sibling branches is one broadcast subtract
 over the stacked rows and the Eq. 2 step is one stacked
 multiply-subtract (:meth:`~repro.nn.arena.BranchArena.step_rows`) —
-element-wise ufuncs, so each row is bitwise identical to its serial
-counterpart.  The *reductions* — per-client L-BFGS HVPs, per-branch
-aggregation, per-branch displacement norms — deliberately stay at the
-serial call shapes: BLAS-backed multi-column GEMM and multi-RHS solves
+element-wise ufuncs, so each row is bitwise identical to a vector-shaped
+step.  The *reductions* — per-client L-BFGS HVPs, per-branch
+aggregation, per-branch displacement norms — deliberately stay at
+vector call shapes: BLAS-backed multi-column GEMM and multi-RHS solves
 are **not** bitwise-identical per column to their vector-shaped
 equivalents (measured on this substrate; see ``docs/REPLAY.md``), and
 byte-identity against cold replay is the contract everything above
-relies on.  Fused estimation is always serial arithmetic for the same
-reason (the parallel estimation backends already prove serial ≡
-parallel, so nothing is lost).
+relies on.  With ``backend="thread"``/``"process"`` each branch's
+per-client estimates fan out through
+:meth:`~repro.unlearning.recovery.SignRecoveryUnlearner._estimate_parallel`,
+which returns the serial arithmetic's bytes.
 
 Cooperative cancellation is per branch: each request brings its own
 ``cancel_check`` (e.g. a serving deadline), polled between rounds.  An
@@ -35,21 +43,24 @@ aborted member leaves its node; the survivors re-seed estimators for
 any clients only the aborted member was forgetting (sound by the same
 effective-set argument — those clients cannot have participated yet)
 and keep replaying.  Aborted work is never wasted: every committed
-snapshot is salvaged into the forest, so the verbatim retry resumes
-almost for free.
+snapshot is salvaged into the forest — also when any other exception
+escapes the replay — so the verbatim retry resumes almost for free.
 
-Crash checkpoints (``checkpoint_dir``) and per-round callbacks are
-single-trajectory concepts and are not consulted here — the forest
-itself is the fused path's durability story.
+Calls with one request also honour the unlearner's crash checkpoints
+(``checkpoint_dir``, reported as ``resumed_from``) and its
+``round_callback``; with K > 1 they are not consulted, and the forest
+is the durability story.
 
-Telemetry: ``recovery_forest_forks_total`` / ``recovery_forest_fork_depth``
-/ ``recovery_forest_fused_branches`` / ``recovery_forest_shared_rounds_total``
-— see ``docs/METRICS.md``.
+Telemetry: ``recovery_round_seconds`` and the other replay-loop metrics
+of ``docs/METRICS.md``, plus ``recovery_forest_forks_total`` /
+``recovery_forest_fork_depth`` / ``recovery_forest_fused_branches`` /
+``recovery_forest_shared_rounds_total``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +68,7 @@ import numpy as np
 from repro.fl.aggregation import AGGREGATORS
 from repro.fl.history import TrainingRecord
 from repro.nn.arena import BranchArena
+from repro.parallel.executor import Executor, make_executor
 from repro.storage.prefetch import RoundPrefetcher, default_prefetch_depth
 from repro.telemetry.core import current_telemetry
 from repro.unlearning.backtrack import backtrack
@@ -147,15 +159,17 @@ class _ExecNode:
         self.resume = 0
         self.store_forget: FrozenSet[int] = frozenset()
 
-
-def _cumulative(record: TrainingRecord, forget_round: int) -> List[FrozenSet[int]]:
-    cum: List[FrozenSet[int]] = []
-    seen: set = set()
-    for t in range(forget_round, record.num_rounds):
-        cum.append(frozenset(seen))
-        seen |= set(record.ledger.participants_at(t))
-    cum.append(frozenset(seen))
-    return cum
+    def progress(self, resumed_from: Optional[int]) -> Dict:
+        """The stats counters accumulated so far, as snapshots and crash
+        checkpoints store them."""
+        return {
+            "rounds_replayed": self.rounds_replayed,
+            "skipped_rounds": self.skipped_rounds,
+            "missing_entries": self.missing_entries,
+            "missing_checkpoints": self.missing_checkpoints,
+            "displacement_norms": list(self.displacement_norms),
+            "resumed_from": resumed_from,
+        }
 
 
 def _copy_estimators(unlearner: SignRecoveryUnlearner, estimators: Dict) -> Dict:
@@ -173,19 +187,28 @@ def _copy_estimators(unlearner: SignRecoveryUnlearner, estimators: Dict) -> Dict
     return unlearner._estimators_from_snapshot(states)
 
 
-def _node_snapshot(
-    unlearner: SignRecoveryUnlearner, node: _ExecNode
-) -> _ReplaySnapshot:
-    return unlearner._make_snapshot(
-        node.recovered,
-        node.estimators,
-        node.rounds_replayed,
-        node.skipped_rounds,
-        node.missing_entries,
-        node.missing_checkpoints,
-        node.displacement_norms,
-        pairs_cache=node.pairs_cache,
-    )
+def _node_snapshot(node: _ExecNode) -> _ReplaySnapshot:
+    """Snapshot a node's committed state.
+
+    A client's L-BFGS pairs change only on refresh rounds, so between
+    refreshes every snapshot shares the same copied-out pairs list from
+    ``node.pairs_cache`` (refreshed clients are invalidated).  The lists
+    are never mutated after creation — ``pairs()`` returns copies and
+    restores copy again — so sharing is safe.
+    """
+    estimators = {}
+    for cid, est in node.estimators.items():
+        if cid not in node.pairs_cache:
+            node.pairs_cache[cid] = est.buffer.pairs()
+        estimators[cid] = (
+            node.pairs_cache[cid],
+            est.estimates_made,
+            est.pairs_accepted,
+            est.pairs_rejected,
+        )
+    # Snapshots restore transparently: a forest hit is not a crash
+    # resume, and stats must match a cold run's.
+    return _ReplaySnapshot(node.recovered.copy(), estimators, node.progress(None))
 
 
 def fused_unlearn(
@@ -197,13 +220,14 @@ def fused_unlearn(
     """Replay K erasure requests through one shared execution tree.
 
     Returns one :class:`BranchOutcome` per request (order preserved):
-    ``result`` is byte-identical — parameters *and* stats — to
-    ``unlearner.unlearn(record, forget_sets[k], ...)`` run cold on its
-    own (asserted in ``tests/test_replay_forest.py``), or ``error``
-    carries the per-branch failure (invalid request, cooperative
-    cancellation).  Requests whose backtrack rounds differ replay as
-    separate trees within the same call; sharing only ever happens
-    under one anchor.
+    ``result`` is byte-identical — parameters *and* stats — to a cold
+    replay of ``forget_sets[k]`` on its own (asserted in
+    ``tests/test_replay_forest.py``), or ``error`` carries the
+    per-branch failure (invalid request, cooperative cancellation).
+    Requests whose backtrack rounds differ replay as separate trees
+    within the same call; sharing only ever happens under one anchor.
+    Any other exception escapes after the committed snapshots of every
+    live branch are stored in the forest.
     """
     K = len(forget_sets)
     checks: List[Optional[Callable[[], None]]] = (
@@ -241,6 +265,7 @@ def fused_unlearn(
             checks,
             outcomes,
             stats,
+            single=K == 1,
         )
     assert all(o is not None for o in outcomes)
     return outcomes, stats  # type: ignore[return-value]
@@ -255,6 +280,7 @@ def _run_group(
     checks: List[Optional[Callable[[], None]]],
     outcomes: List[Optional[BranchOutcome]],
     stats: FusedReplayStats,
+    single: bool,
 ) -> None:
     aggregate = AGGREGATORS[record.aggregator]
     forest: Optional[ReplayForest] = unlearner.prefix_cache
@@ -262,31 +288,45 @@ def _run_group(
     num_rounds = record.num_rounds
     telemetry = current_telemetry()
     replay_window = max(1, num_rounds - forget_round)
-    cum = _cumulative(record, forget_round)
+    bulk = getattr(record.gradients, "supports_bulk_round", False)
 
     # ------------------------------------------------------------- resume
+    # A crash checkpoint (one-request calls only) takes precedence over
+    # the forest: it may be deeper and carries real resume semantics.
+    fingerprint: Optional[Dict] = None
+    resumed_from: Optional[int] = None
     resumes: Dict[int, int] = {}
     restored: Dict[int, Optional[_ReplaySnapshot]] = {}
+    cached: Dict[int, int] = {}
     for i in idxs:
-        hit = (
-            forest.lookup(record, base_key, forget_of[i], forget_round)
-            if forest is not None
-            else None
-        )
-        if hit is None:
-            resumes[i] = forget_round
-            restored[i] = None
-        else:
-            resumes[i] = hit[0]
-            restored[i] = hit[1]
+        hit = None
+        if single and unlearner.checkpoint_dir is not None:
+            fingerprint = unlearner._fingerprint(
+                record, sorted(forget_of[i]), forget_round
+            )
+            hit = unlearner._load_checkpoint(fingerprint)
+            if hit is not None:
+                resumed_from = hit[0]
+                _log.info("resuming recovery at round %d", resumed_from)
+        cached[i] = 0
+        if hit is None and forest is not None:
+            hit = forest.lookup(record, base_key, forget_of[i], forget_round)
+            if hit is not None:
+                cached[i] = hit[0] - forget_round
+        resumes[i], restored[i] = hit if hit is not None else (forget_round, None)
         stats.member_rounds += num_rounds - resumes[i]
 
-    # Requests sharing (resume round, effective set) have byte-identical
-    # state there — they start in one node.
+    # Requests sharing (resume round, effective set S ∩ P[F..resume))
+    # have byte-identical state there — they start in one node.
+    seen: Dict[int, FrozenSet[int]] = {}
     buckets: Dict[Tuple[int, FrozenSet[int]], List[int]] = {}
     for i in sorted(idxs):
-        key = (resumes[i], forget_of[i] & cum[resumes[i] - forget_round])
-        buckets.setdefault(key, []).append(i)
+        r = resumes[i]
+        if r not in seen:
+            seen[r] = frozenset().union(
+                *(record.ledger.participants_at(t) for t in range(forget_round, r))
+            )
+        buckets.setdefault((r, forget_of[i] & seen[r]), []).append(i)
 
     arena = BranchArena(len(idxs), int(record.final_params().size))
     active: List[_ExecNode] = []
@@ -374,33 +414,165 @@ def _run_group(
                 "recovery_progress", (t - forget_round + 1) / replay_window
             )
 
+    def replay_round(
+        t: int, participants_t: List[int], live: List[_ExecNode]
+    ) -> bool:
+        """Round ``t`` for every live branch: one shared read, per-branch
+        Eq. 6/7 estimates, one stacked step.  True when a branch stepped."""
+        reading: List[Tuple[_ExecNode, List[int]]] = []
+        for node in live:
+            participants = [c for c in participants_t if c not in node.union]
+            if participants:
+                reading.append((node, participants))
+            else:
+                # Only forgotten clients contributed at t originally; the
+                # remaining-clients counterfactual has no update this round.
+                node_skip(node, t)
+        if not reading:
+            return False
+        try:
+            historical = record.params_at(t)
+        except Exception:
+            # Damaged record: without w_t neither Eq. 6's displacement
+            # nor the refresh pairs exist — skip the round, keep going.
+            for node, _ in reading:
+                node_skip(node, t, missing_checkpoint=True)
+            return False
+        # One shared read of the round: usually already decoded in the
+        # background; a failed bulk decode falls back to per-client
+        # reads, which isolate the broken entries.
+        round_updates: Optional[Dict[int, np.ndarray]] = None
+        if prefetcher is not None:
+            round_updates = prefetcher.fetch(t)
+        elif bulk:
+            try:
+                round_updates = record.gradients.get_round(t)
+            except Exception:
+                round_updates = None
+        entry_memo: Dict[int, Optional[np.ndarray]] = {}
+
+        def stored_of(cid: int) -> Optional[np.ndarray]:
+            if round_updates is not None:
+                return round_updates.get(cid)
+            if cid not in entry_memo:
+                try:
+                    entry_memo[cid] = record.gradients.get(t, cid)
+                except Exception:
+                    entry_memo[cid] = None
+            return entry_memo[cid]
+
+        ready: List[Tuple[_ExecNode, List[Tuple[int, np.ndarray]]]] = []
+        for node, participants in reading:
+            present = [(c, stored_of(c)) for c in participants]
+            present = [(c, g) for c, g in present if g is not None]
+            round_missing = len(participants) - len(present)
+            node.missing_entries += round_missing
+            if telemetry.enabled and round_missing:
+                telemetry.inc("recovery_missing_entries_total", round_missing)
+            if present:
+                ready.append((node, present))
+            else:
+                node_skip(node, t)
+        if not ready:
+            return False
+
+        # Stacked Eq. 6 displacement: one broadcast subtract over every
+        # sibling row (element-wise ⇒ bitwise-identical per row).
+        rows = [node.row for node, _ in ready]
+        disp_block = arena.rows(rows) - historical
+        refresh_now = (t - forget_round + 1) % unlearner.refresh_period == 0
+        step_grads: List[np.ndarray] = []
+        for (node, present), disp_vec in zip(ready, disp_block):
+            if executor is None:
+                # Reductions keep vector call shapes — see the module
+                # docstring for why this is load-bearing.
+                estimates: List[np.ndarray] = []
+                weights: List[float] = []
+                for cid, stored in present:
+                    estimate = node.estimators[cid].estimate_displaced(
+                        stored, disp_vec
+                    )
+                    estimates.append(estimate)
+                    weights.append(record.weight_of(cid))
+                    if refresh_now:
+                        # add_pair copies, so sharing disp_vec is safe.
+                        node.estimators[cid].seed_pair(disp_vec, estimate - stored)
+            else:
+                estimates, weights = unlearner._estimate_parallel(
+                    executor, present, node.estimators, disp_vec, record,
+                    refresh_now,
+                )
+            if refresh_now:
+                # These clients' L-BFGS pairs just changed; the next
+                # snapshot must copy them afresh.
+                for cid, _ in present:
+                    node.pairs_cache.pop(cid, None)
+            displacement = float(np.linalg.norm(disp_vec))
+            node.displacement_norms.append(displacement)
+            step_grads.append(aggregate(estimates, weights))
+            node.rounds_replayed += 1
+            if telemetry.enabled:
+                telemetry.inc("recovery_rounds_total")
+                telemetry.set_gauge("recovery_displacement_norm", displacement)
+                telemetry.set_gauge(
+                    "recovery_progress", (t - forget_round + 1) / replay_window
+                )
+        # Fused Eq. 2: one stacked multiply-subtract for every stepping
+        # branch (bitwise-identical per row to SGD.step_).
+        arena.step_rows(rows, np.stack(step_grads), record.learning_rate)
+        stats.executed_node_rounds += len(ready)
+        for node, _ in ready:
+            shared = len(node.members) - 1
+            if shared:
+                stats.shared_rounds += shared
+                if telemetry.enabled:
+                    telemetry.inc("recovery_forest_shared_rounds_total", shared)
+        return True
+
     # -------------------------------------------------------------- replay
     start = min(node.resume for node in active)
-    depth = (
-        unlearner.prefetch_depth
-        if unlearner.prefetch_depth is not None
-        else default_prefetch_depth()
-    )
+    executor: Optional[Executor] = None
     prefetcher: Optional[RoundPrefetcher] = None
-    if depth > 0 and getattr(record.gradients, "supports_bulk_round", False):
-        # Pipeline the shared read: one prefetcher serves every branch,
-        # since the fused loop decodes each round exactly once anyway.
-        # No cancel_check — cancellation is per member; an aborted
-        # member leaving its node must not kill the siblings' pipeline.
-        prefetcher = RoundPrefetcher(
-            record.gradients,
-            list(range(start, num_rounds)),
-            depth=depth,
-            cache=unlearner.decode_cache,
-            executor=unlearner.prefetch_executor,
-        )
     try:
+        if unlearner.execution.backend != "serial":
+            # Estimation tasks are self-contained (compact L-BFGS state
+            # + displacement travel in the task): no worker context.
+            executor = make_executor(
+                unlearner.execution.backend, unlearner.execution.workers
+            )
+            if telemetry.enabled:
+                telemetry.set_gauge(
+                    "recovery_parallel_workers", unlearner.execution.workers
+                )
+        depth = (
+            unlearner.prefetch_depth
+            if unlearner.prefetch_depth is not None
+            else default_prefetch_depth()
+        )
+        if depth > 0 and bulk:
+            # Pipeline the shared read over exactly the rounds some
+            # member reads: a round whose participants every member
+            # forgets is skipped before any storage read.
+            reads = []
+            for t in range(start, num_rounds):
+                p_t = frozenset(record.ledger.participants_at(t))
+                if any(resumes[m] <= t and not p_t <= forget_of[m] for m in idxs):
+                    reads.append(t)
+            if reads:
+                # Cancellation is per member, so only a lone member's
+                # check may stop the look-ahead.
+                prefetcher = RoundPrefetcher(
+                    record.gradients,
+                    reads,
+                    depth=depth,
+                    cache=unlearner.decode_cache,
+                    cancel_check=checks[idxs[0]] if len(idxs) == 1 else None,
+                    executor=unlearner.prefetch_executor,
+                )
         for t in range(start, num_rounds):
             live = [n for n in active if n.resume <= t]
-            if not live:
-                continue
-
-            # Per-member cooperative cancellation, same cadence as serial.
+            # Per-member cooperative cancellation, between rounds only,
+            # so an abort always lands on committed state.
             for node in list(live):
                 for m in list(node.members):
                     check = checks[m]
@@ -412,7 +584,7 @@ def _run_group(
                         outcomes[m] = BranchOutcome(
                             result=None,
                             error=exc,
-                            cached_prefix_rounds=resumes[m] - forget_round,
+                            cached_prefix_rounds=cached[m],
                         )
                         node.members.remove(m)
                         stats.aborted += 1
@@ -428,7 +600,7 @@ def _run_group(
             # by every member.
             if forest is not None:
                 for node in live:
-                    node.snapshots[t] = _node_snapshot(unlearner, node)
+                    node.snapshots[t] = _node_snapshot(node)
 
             # Fork at divergence: members whose forget sets intersect this
             # round's participants differently stop sharing here.
@@ -484,133 +656,50 @@ def _run_group(
             # Post-fork width: children forked this round replay it too.
             stats.peak_branches = max(stats.peak_branches, len(live))
 
-            # One shared read of the round: historical params + bulk decode.
-            try:
-                historical = record.params_at(t)
-            except Exception:
-                for node in live:
-                    node_skip(node, t, missing_checkpoint=True)
-                continue
-            round_updates: Optional[Dict[int, np.ndarray]] = None
-            if prefetcher is not None:
-                round_updates = prefetcher.fetch(t)
-            elif getattr(record.gradients, "supports_bulk_round", False):
-                try:
-                    round_updates = record.gradients.get_round(t)
-                except Exception:
-                    round_updates = None
-            entry_memo: Dict[int, Optional[np.ndarray]] = {}
-
-            ready: List[Tuple[_ExecNode, List[Tuple[int, np.ndarray]]]] = []
-            for node in live:
-                participants = [c for c in participants_t if c not in node.union]
-                if not participants:
-                    node_skip(node, t)
-                    continue
-                present: List[Tuple[int, np.ndarray]] = []
-                round_missing = 0
-                if round_updates is not None:
-                    for cid in participants:
-                        stored = round_updates.get(cid)
-                        if stored is None:
-                            node.missing_entries += 1
-                            round_missing += 1
-                        else:
-                            present.append((cid, stored))
-                else:
-                    for cid in participants:
-                        if cid in entry_memo:
-                            stored = entry_memo[cid]
-                        else:
-                            try:
-                                stored = record.gradients.get(t, cid)
-                            except Exception:
-                                stored = None
-                            entry_memo[cid] = stored
-                        if stored is None:
-                            node.missing_entries += 1
-                            round_missing += 1
-                        else:
-                            present.append((cid, stored))
-                if telemetry.enabled and round_missing:
-                    telemetry.inc("recovery_missing_entries_total", round_missing)
-                if not present:
-                    node_skip(node, t)
-                    continue
-                ready.append((node, present))
-            if not ready:
-                continue
-
-            # Stacked Eq. 6 displacement: one broadcast subtract over every
-            # sibling row (element-wise ⇒ bitwise-identical per row).
-            rows = [node.row for node, _ in ready]
-            disp_block = arena.rows(rows) - historical
-            refresh_now = (t - forget_round + 1) % unlearner.refresh_period == 0
-            step_rows: List[int] = []
-            step_grads: List[np.ndarray] = []
-            for k, (node, present) in enumerate(ready):
-                disp_vec = disp_block[k]
-                with telemetry.span("recovery_round_seconds"):
-                    estimates: List[np.ndarray] = []
-                    weights: List[float] = []
-                    # Reductions keep the serial call shapes — see the
-                    # module docstring for why this is load-bearing.
-                    for cid, stored in present:
-                        estimate = node.estimators[cid].estimate_displaced(
-                            stored, disp_vec
-                        )
-                        estimates.append(estimate)
-                        weights.append(record.weight_of(cid))
-                        if refresh_now:
-                            node.estimators[cid].seed_pair(
-                                disp_vec, estimate - stored
-                            )
-                    if refresh_now:
-                        for cid, _ in present:
-                            node.pairs_cache.pop(cid, None)
-                    displacement = float(np.linalg.norm(disp_vec))
-                    node.displacement_norms.append(displacement)
-                    step_rows.append(node.row)
-                    step_grads.append(aggregate(estimates, weights))
-                    node.rounds_replayed += 1
-                if telemetry.enabled:
-                    telemetry.inc("recovery_rounds_total")
-                    telemetry.set_gauge("recovery_displacement_norm", displacement)
-                    telemetry.set_gauge(
-                        "recovery_progress", (t - forget_round + 1) / replay_window
+            with telemetry.span("recovery_round_seconds"):
+                stepped = replay_round(t, participants_t, live)
+            if single:
+                # One request ⇒ one node, never forked.
+                (node,) = live
+                if (
+                    fingerprint is not None
+                    and (t - forget_round + 1) % unlearner.checkpoint_every == 0
+                ):
+                    unlearner._save_checkpoint(
+                        fingerprint,
+                        next_round=t + 1,
+                        recovered=node.recovered,
+                        estimators=node.estimators,
+                        progress=node.progress(resumed_from),
                     )
-            # Fused Eq. 2: one stacked multiply-subtract for every stepping
-            # branch (bitwise-identical per row to SGD.step_).
-            arena.step_rows(step_rows, np.stack(step_grads), record.learning_rate)
-            stats.executed_node_rounds += len(ready)
-            for node, _ in ready:
-                shared = len(node.members) - 1
-                if shared:
-                    stats.shared_rounds += shared
-                    if telemetry.enabled:
-                        telemetry.inc("recovery_forest_shared_rounds_total", shared)
+                if stepped and unlearner.round_callback is not None:
+                    unlearner.round_callback(t, node.recovered.copy())
+    except BaseException:
+        # Abort (substrate fault, callback): every snapshot collected so
+        # far is committed start-of-round state, so salvaging it can never
+        # expose a half-replayed round — the retry resumes the prefix and
+        # recovers parameters byte-identical to a cold replay.
+        for node in active:
+            flush_snapshots(node)
+        raise
     finally:
         if prefetcher is not None:
-            # Releases every cache pin and cancels in-flight
-            # decodes even if a substrate fault escapes the loop.
+            # Cancels in-flight decodes and releases every cache pin
+            # even on abort paths.
             prefetcher.close()
+        if executor is not None:
+            executor.close()
 
     # ------------------------------------------------------------ finalize
     for node in list(active):
         if forest is not None:
-            node.snapshots[num_rounds] = _node_snapshot(unlearner, node)
+            # Final committed state: a repeated identical request — or a
+            # superset whose extra clients never participated — replays
+            # zero rounds.
+            node.snapshots[num_rounds] = _node_snapshot(node)
         base_accepted = sum(e.pairs_accepted for e in node.estimators.values())
         base_rejected = sum(e.pairs_rejected for e in node.estimators.values())
-        mean_disp = (
-            float(np.mean(node.displacement_norms))
-            if node.displacement_norms
-            else 0.0
-        )
-        max_disp = (
-            float(np.max(node.displacement_norms))
-            if node.displacement_norms
-            else 0.0
-        )
+        norms = node.displacement_norms
         for m in node.members:
             # Clients forgotten by siblings but remaining for this
             # member never participated (fork invariant), so their cold
@@ -633,21 +722,26 @@ def _run_group(
                         "skipped_rounds": node.skipped_rounds,
                         "missing_entries": node.missing_entries,
                         "missing_checkpoints": node.missing_checkpoints,
-                        "resumed_from": None,
+                        "resumed_from": resumed_from,
                         "pairs_accepted": accepted,
                         "pairs_rejected": rejected,
-                        "mean_displacement": mean_disp,
-                        "max_displacement": max_disp,
+                        "mean_displacement": (
+                            float(np.mean(norms)) if norms else 0.0
+                        ),
+                        "max_displacement": float(np.max(norms)) if norms else 0.0,
                     },
                 ),
                 error=None,
-                cached_prefix_rounds=resumes[m] - forget_round,
+                cached_prefix_rounds=cached[m],
             )
         retire(node)
+        if fingerprint is not None and os.path.exists(unlearner._checkpoint_path()):
+            os.remove(unlearner._checkpoint_path())
     _log.info(
-        "fused replay over %d requests: %d node-rounds executed for %d member-"
-        "rounds (%d shared, %d forks, peak width %d)",
+        "replay over %d requests from round %d: %d node-rounds executed for "
+        "%d member-rounds (%d shared, %d forks, peak width %d)",
         len(idxs),
+        forget_round,
         stats.executed_node_rounds,
         stats.member_rounds,
         stats.shared_rounds,

@@ -32,22 +32,25 @@ would.  Missing or undecodable per-``(round, client)`` gradient entries
 and missing checkpoints are skipped and counted (``missing_entries`` /
 ``missing_checkpoints`` in the stats) instead of raising.
 
-Telemetry: each replay round is timed (``recovery_round_seconds``
-span), replayed/skipped/missing counts and checkpoint commits feed
-counters, and two gauges track live progress — the completed fraction
-of the replay window (``recovery_progress``) and the Eq. 6 displacement
-``‖w̄_t − w_t‖₂`` (``recovery_displacement_norm``).  The per-estimate
-clip rate and drift come from
+One engine: the replay round loop lives in
+:mod:`repro.unlearning.forest`, whose tree executor serves K ≥ 1
+forget sets; :meth:`SignRecoveryUnlearner.unlearn` is its call with
+one request.  This module holds what the loop is parameterized by — the
+unlearner's hyperparameters, estimator seeding, checkpoint files — and
+the :class:`ReplayForest` it resumes from.  The replay-loop metrics
+(``recovery_round_seconds`` and friends) are emitted there; the
+per-estimate clip rate and drift come from
 :mod:`repro.unlearning.estimator` — see ``docs/METRICS.md``.
 
 Parallel recovery: with ``backend="thread"``/``"process"`` the
 per-client Eq. 6 HVP + Eq. 7 clip fan out through
-:mod:`repro.parallel`.  Each worker gets a snapshot of the client's
-compact L-BFGS state and the round's shared displacement, runs the
-exact serial arithmetic, and the parent does all estimator bookkeeping
-and telemetry from the returned numbers — so the recovered parameters
-are **bitwise identical to the serial run** and the pool reports its
-shape and timing via ``recovery_parallel_*``.
+:mod:`repro.parallel` (:meth:`SignRecoveryUnlearner._estimate_parallel`).
+Each worker gets a snapshot of the client's compact L-BFGS state and
+the round's shared displacement, runs the exact serial arithmetic, and
+the parent does all estimator bookkeeping and telemetry from the
+returned numbers — so the recovered parameters are **bitwise identical
+to the serial run** and the pool reports its shape and timing via
+``recovery_parallel_*``.
 
 Amortized serving: successive erasure requests replay overlapping
 windows — forgetting ``{a}`` then ``{a, b}`` repeats every round up to
@@ -66,15 +69,7 @@ effective-set match makes exact), so cached-prefix results stay
 bitwise identical (``tests/test_service_cache.py`` and
 ``tests/test_replay_forest.py`` assert this, stats included).  Forest
 traffic feeds the ``recovery_cache_*`` and ``recovery_forest_*``
-metrics; ``docs/REPLAY.md`` is the design doc.  The fused multi-branch
-executor over the same forest lives in
-:mod:`repro.unlearning.forest`.
-
-Round reads go through the store's bulk
-:meth:`~repro.storage.store.GradientStore.get_round` when the backend
-advertises ``supports_bulk_round`` — one LUT pass per cohort instead of
-per-client unpacking — and fall back to per-client reads (with their
-per-entry damage isolation) otherwise.
+metrics; ``docs/REPLAY.md`` is the design doc.
 """
 
 from __future__ import annotations
@@ -94,34 +89,19 @@ from typing import (
 
 import numpy as np
 
-from repro.fl.aggregation import AGGREGATORS
 from repro.fl.client import VehicleClient
 from repro.fl.history import TrainingRecord
 from repro.nn.model import Sequential
-from repro.nn.optim import SGD
 from repro.parallel.estimates import run_estimate, tasks_from_round
-from repro.parallel.executor import Executor, make_executor, pool_utilization
+from repro.parallel.executor import Executor, pool_utilization
 from repro.parallel.policy import resolve_execution
-from repro.storage.prefetch import (
-    RoundDecodeCache,
-    RoundPrefetcher,
-    default_prefetch_depth,
-)
-from repro.unlearning.backtrack import backtrack
-from repro.unlearning.base import (
-    ModelFactory,
-    UnlearnResult,
-    UnlearningMethod,
-    remaining_ids,
-)
+from repro.storage.prefetch import RoundDecodeCache
+from repro.unlearning.base import ModelFactory, UnlearnResult, UnlearningMethod
 from repro.telemetry.core import current_telemetry
 from repro.unlearning.estimator import GradientEstimator
-from repro.utils.logging import get_logger
 from repro.utils.serialization import load_state, save_state_atomic
 
-__all__ = ["ReplayForest", "ReplayPrefixCache", "SignRecoveryUnlearner"]
-
-_log = get_logger("unlearning.recovery")
+__all__ = ["ReplayForest", "SignRecoveryUnlearner"]
 
 _CHECKPOINT = "recovery.npz"
 
@@ -295,30 +275,16 @@ class ReplayForest:
                 root.cum[-1] | frozenset(record.ledger.participants_at(t))
             )
 
-    def effective_set(
-        self, record, forget_round: int, forget: FrozenSet[int], t: int
-    ) -> FrozenSet[int]:
-        """``S ∩ P[F..t)`` — the node key a request for ``S`` occupies
-        at round ``t`` (exposed for the fused executor and tests)."""
-        with self._lock:
-            root = self._find_root(record, None, forget_round, any_base=True)
-            if root is not None:
-                self._extend_cum(root, record)
-                cum = root.cum
-            else:
-                cum = self._cumulative(record, forget_round)
-            return frozenset(forget) & cum[t - forget_round]
-
     def _find_root(
-        self, record, base_key, forget_round: int, any_base: bool = False
+        self, record, base_key, forget_round: int
     ) -> Optional[_ForestRoot]:
         anchor = self._anchor(record)
         for root in self._roots:
-            if root.record_ref() is not anchor:
-                continue
-            if root.forget_round != forget_round:
-                continue
-            if any_base or root.base_key == base_key:
+            if (
+                root.record_ref() is anchor
+                and root.forget_round == forget_round
+                and root.base_key == base_key
+            ):
                 return root
         return None
 
@@ -472,11 +438,6 @@ class ReplayForest:
         return sum(len(root.nodes) for root in self._roots)
 
 
-#: Historical name from the line-cache era (PR 5) — the forest is a
-#: strict generalization, so the old name keeps working everywhere.
-ReplayPrefixCache = ReplayForest
-
-
 class SignRecoveryUnlearner(UnlearningMethod):
     """Backtracking + sign-direction recovery (the paper's scheme).
 
@@ -489,8 +450,9 @@ class SignRecoveryUnlearner(UnlearningMethod):
     refresh_period:
         Rounds between vector-pair refreshes (paper default 21).
     round_callback:
-        Optional ``(recovery_round, params)`` hook, used by the figures
-        to trace accuracy during recovery.
+        Optional ``(recovery_round, params)`` hook called after every
+        replay round that took a model step, used by the figures to
+        trace accuracy during recovery.
     checkpoint_dir:
         When set, replay state is checkpointed here (atomically) every
         ``checkpoint_every`` rounds, and :meth:`unlearn` resumes from
@@ -505,7 +467,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
         :func:`repro.parallel.policy.default_execution`.  Every backend
         recovers bitwise-identical parameters.
     prefix_cache:
-        Optional :class:`ReplayPrefixCache` shared across requests.
+        Optional :class:`ReplayForest` shared across requests.
         When set, :meth:`unlearn` resumes from the deepest reusable
         cached snapshot (unless a crash checkpoint takes precedence)
         and commits this replay's per-round snapshots back.  The
@@ -552,7 +514,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
         checkpoint_every: int = 5,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        prefix_cache: Optional[ReplayPrefixCache] = None,
+        prefix_cache: Optional[ReplayForest] = None,
         cancel_check: Optional[Callable[[], None]] = None,
         prefetch_depth: Optional[int] = None,
         decode_cache: Optional[RoundDecodeCache] = None,
@@ -642,25 +604,20 @@ class SignRecoveryUnlearner(UnlearningMethod):
         executor: Executor,
         present: List[Tuple[int, np.ndarray]],
         estimators: Dict[int, GradientEstimator],
-        recovered: np.ndarray,
-        historical: np.ndarray,
+        displacement_vec: np.ndarray,
         record: TrainingRecord,
         refresh_now: bool,
     ) -> Tuple[List[np.ndarray], List[float]]:
-        """Fan one round's Eq. 6/7 steps across the executor.
+        """Fan one branch's round of Eq. 6/7 steps across the executor.
 
         Snapshots each client's compact L-BFGS state *before* dispatch
-        (the serial loop also estimates from pre-refresh state), merges
-        results in participant order, and performs the estimator
+        (the serial arithmetic also estimates from pre-refresh state),
+        merges results in participant order, and performs the estimator
         bookkeeping, refresh seeding, and telemetry re-emission the
         workers withheld — so counters and recovered parameters match
-        the serial path exactly.
+        the serial backend exactly.
         """
         telemetry = current_telemetry()
-        displacement_vec = (
-            np.asarray(recovered, dtype=np.float64).ravel()
-            - np.asarray(historical, dtype=np.float64).ravel()
-        )
         tasks = tasks_from_round(
             present, estimators, displacement_vec, self.clip_threshold
         )
@@ -720,7 +677,7 @@ class SignRecoveryUnlearner(UnlearningMethod):
         }
 
     # ------------------------------------------------------------------
-    # prefix-cache snapshots
+    # forest snapshots
     # ------------------------------------------------------------------
     def _cache_base_key(self, record: TrainingRecord) -> Tuple:
         """Everything besides the forget set that shapes the trajectory.
@@ -737,57 +694,6 @@ class SignRecoveryUnlearner(UnlearningMethod):
             float(self.clip_threshold),
             int(self.buffer_size),
             int(self.refresh_period),
-        )
-
-    def _make_snapshot(
-        self,
-        recovered: np.ndarray,
-        estimators: Dict[int, GradientEstimator],
-        rounds_replayed: int,
-        skipped_rounds: int,
-        missing_entries: int,
-        missing_checkpoints: int,
-        displacement_norms: List[float],
-        pairs_cache: Optional[Dict[int, List]] = None,
-    ) -> _ReplaySnapshot:
-        """Snapshot the committed replay state.
-
-        ``pairs_cache`` amortizes the expensive part across rounds: a
-        client's L-BFGS pairs change only on refresh rounds, so between
-        refreshes every snapshot shares the same copied-out pairs list
-        (the caller invalidates refreshed clients).  The lists are
-        never mutated after creation — ``pairs()`` returns copies and
-        restores copy again — so sharing is safe.
-        """
-
-        def pairs_of(cid: int, est: GradientEstimator) -> List:
-            if pairs_cache is None:
-                return est.buffer.pairs()
-            if cid not in pairs_cache:
-                pairs_cache[cid] = est.buffer.pairs()
-            return pairs_cache[cid]
-
-        return _ReplaySnapshot(
-            params=recovered.copy(),
-            estimators={
-                cid: (
-                    pairs_of(cid, est),
-                    est.estimates_made,
-                    est.pairs_accepted,
-                    est.pairs_rejected,
-                )
-                for cid, est in estimators.items()
-            },
-            progress={
-                "rounds_replayed": rounds_replayed,
-                "skipped_rounds": skipped_rounds,
-                "missing_entries": missing_entries,
-                "missing_checkpoints": missing_checkpoints,
-                "displacement_norms": list(displacement_norms),
-                # Snapshots restore transparently: a cache hit is not a
-                # crash resume, and stats must match a cold run's.
-                "resumed_from": None,
-            },
         )
 
     def _estimators_from_snapshot(
@@ -816,6 +722,9 @@ class SignRecoveryUnlearner(UnlearningMethod):
         estimators: Dict[int, GradientEstimator],
         progress: Dict,
     ) -> None:
+        telemetry = current_telemetry()
+        if telemetry.enabled:
+            telemetry.inc("recovery_checkpoints_total")
         arrays: Dict[str, np.ndarray] = {"recovered": recovered}
         est_meta: Dict[str, Dict] = {}
         for cid, est in estimators.items():
@@ -842,7 +751,8 @@ class SignRecoveryUnlearner(UnlearningMethod):
 
     def _load_checkpoint(
         self, fingerprint: Dict
-    ) -> Optional[Tuple[int, np.ndarray, Dict[int, GradientEstimator], Dict]]:
+    ) -> Optional[Tuple[int, _ReplaySnapshot]]:
+        """``(next_round, state)`` from this request's crash checkpoint."""
         path = self._checkpoint_path()
         if not os.path.exists(path):
             return None
@@ -852,21 +762,22 @@ class SignRecoveryUnlearner(UnlearningMethod):
                 f"recovery checkpoint at {path} belongs to a different request "
                 f"({meta.get('fingerprint')} != {fingerprint}); delete it to restart"
             )
-        estimators: Dict[int, GradientEstimator] = {}
-        for cid_str, info in meta["estimators"].items():
-            cid = int(cid_str)
-            est = GradientEstimator(
-                buffer_size=self.buffer_size, clip_threshold=self.clip_threshold
+        estimators = {
+            int(cid): (
+                [
+                    (arrays[f"p_{cid}_{j}_w"], arrays[f"p_{cid}_{j}_g"])
+                    for j in range(int(info["num_pairs"]))
+                ],
+                info["estimates_made"],
+                info["pairs_accepted"],
+                info["pairs_rejected"],
             )
-            for j in range(int(info["num_pairs"])):
-                est.buffer.add_pair(arrays[f"p_{cid}_{j}_w"], arrays[f"p_{cid}_{j}_g"])
-            est.estimates_made = int(info["estimates_made"])
-            est.pairs_accepted = int(info["pairs_accepted"])
-            est.pairs_rejected = int(info["pairs_rejected"])
-            estimators[cid] = est
-        # Owned copy: the replay loop updates ``recovered`` in place.
+            for cid, info in meta["estimators"].items()
+        }
         recovered = np.array(arrays["recovered"], dtype=np.float64)
-        return int(meta["next_round"]), recovered, estimators, dict(meta["progress"])
+        return int(meta["next_round"]), _ReplaySnapshot(
+            recovered, estimators, dict(meta["progress"])
+        )
 
     # ------------------------------------------------------------------
     def unlearn(
@@ -877,372 +788,21 @@ class SignRecoveryUnlearner(UnlearningMethod):
         clients: Optional[Dict[int, VehicleClient]] = None,
         model_factory: Optional[ModelFactory] = None,
     ) -> UnlearnResult:
-        """Run Algorithm 1.  ``clients``/``model_factory`` are ignored —
-        the method is server-only."""
-        aggregate = AGGREGATORS[record.aggregator]
-        recovered, forget_round = backtrack(record, forget_ids)
-        remaining = remaining_ids(record, forget_ids)
-        if not remaining:
-            raise ValueError("cannot recover: no remaining clients")
+        """Run Algorithm 1: one request through the replay engine
+        (:func:`repro.unlearning.forest.fused_unlearn`).
 
-        fingerprint = self._fingerprint(record, forget_ids, forget_round)
-        progress: Dict = {
-            "rounds_replayed": 0,
-            "skipped_rounds": 0,
-            "missing_entries": 0,
-            "missing_checkpoints": 0,
-            "displacement_norms": [],
-            "resumed_from": None,
-        }
-        forget_set = set(int(c) for c in forget_ids)
-        start_round = forget_round
+        Raises the request's error (invalid forget set, cancellation) as
+        is.  ``clients``/``model_factory`` are ignored — the method is
+        server-only.
+        """
+        # Imported here: the engine module builds on this one.
+        from repro.unlearning import forest
+
         self.last_cached_prefix_rounds = 0
-        estimators: Optional[Dict[int, GradientEstimator]] = None
-        if self.checkpoint_dir is not None:
-            restored = self._load_checkpoint(fingerprint)
-            if restored is not None:
-                start_round, recovered, estimators, progress = restored
-                progress["resumed_from"] = start_round
-                _log.info("resuming recovery at round %d", start_round)
-        if estimators is None and self.prefix_cache is not None:
-            # Crash checkpoints take precedence (they may be deeper into
-            # the replay and carry real resume semantics).
-            hit = self.prefix_cache.lookup(
-                record,
-                self._cache_base_key(record),
-                frozenset(forget_set),
-                forget_round,
-            )
-            if hit is not None:
-                start_round, snapshot = hit
-                recovered = snapshot.params
-                estimators = self._estimators_from_snapshot(snapshot.estimators)
-                # A forest node stored by a *different* forget set may
-                # lack estimators for clients it had forgotten but this
-                # request keeps.  The effective-set match guarantees
-                # those clients never participated in [F, start_round),
-                # so seeding them now reproduces their cold state
-                # exactly (seeding is per-client and deterministic).
-                missing = [cid for cid in remaining if cid not in estimators]
-                if missing:
-                    estimators.update(
-                        self._seed_estimators(record, missing, forget_round)
-                    )
-                progress = snapshot.progress
-                self.last_cached_prefix_rounds = start_round - forget_round
-                _log.info(
-                    "prefix cache hit: resuming replay at round %d "
-                    "(%d rounds amortized)",
-                    start_round,
-                    self.last_cached_prefix_rounds,
-                )
-        if estimators is None:
-            estimators = self._seed_estimators(record, remaining, forget_round)
-        displacement_norms: List[float] = [
-            float(n) for n in progress["displacement_norms"]
-        ]
-        rounds_replayed = int(progress["rounds_replayed"])
-        skipped_rounds = int(progress["skipped_rounds"])
-        missing_entries = int(progress["missing_entries"])
-        missing_checkpoints = int(progress["missing_checkpoints"])
-
-        telemetry = current_telemetry()
-        replay_window = max(1, record.num_rounds - forget_round)
-        opt = SGD(record.learning_rate)
-
-        def checkpoint_due(t: int) -> bool:
-            return (
-                self.checkpoint_dir is not None
-                and (t - forget_round + 1) % self.checkpoint_every == 0
-            )
-
-        def commit(t: int) -> None:
-            if telemetry.enabled:
-                telemetry.inc("recovery_checkpoints_total")
-            self._save_checkpoint(
-                fingerprint,
-                next_round=t + 1,
-                recovered=recovered,
-                estimators=estimators,
-                progress={
-                    "rounds_replayed": rounds_replayed,
-                    "skipped_rounds": skipped_rounds,
-                    "missing_entries": missing_entries,
-                    "missing_checkpoints": missing_checkpoints,
-                    "displacement_norms": displacement_norms,
-                    "resumed_from": progress["resumed_from"],
-                },
-            )
-
-        def skip(t: int, missing_checkpoint: bool = False) -> None:
-            nonlocal skipped_rounds, missing_checkpoints
-            skipped_rounds += 1
-            if missing_checkpoint:
-                missing_checkpoints += 1
-            if telemetry.enabled:
-                telemetry.inc("recovery_rounds_skipped_total")
-                telemetry.set_gauge(
-                    "recovery_progress", (t - forget_round + 1) / replay_window
-                )
-            if checkpoint_due(t):
-                commit(t)
-
-        snapshots: Dict[int, _ReplaySnapshot] = {}
-        pairs_cache: Dict[int, List] = {}
-
-        def snapshot_now() -> _ReplaySnapshot:
-            return self._make_snapshot(
-                recovered,
-                estimators,
-                rounds_replayed,
-                skipped_rounds,
-                missing_entries,
-                missing_checkpoints,
-                displacement_norms,
-                pairs_cache=pairs_cache,
-            )
-
-        executor: Optional[Executor] = None
-        prefetcher: Optional[RoundPrefetcher] = None
-        try:
-            if self.execution.backend != "serial":
-                # Estimation tasks are self-contained (compact L-BFGS
-                # state + displacement travel in the task), so no worker
-                # context is needed.
-                executor = make_executor(
-                    self.execution.backend, self.execution.workers
-                )
-                if telemetry.enabled:
-                    telemetry.set_gauge(
-                        "recovery_parallel_workers", self.execution.workers
-                    )
-            depth = (
-                self.prefetch_depth
-                if self.prefetch_depth is not None
-                else default_prefetch_depth()
-            )
-            if depth > 0 and getattr(
-                record.gradients, "supports_bulk_round", False
-            ):
-                # Pipeline the data path: bulk-decode rounds t+1..t+depth
-                # on a background thread while round t computes.  The
-                # sequence is exactly the rounds the loop will read
-                # gradients for (rounds with no surviving participant are
-                # skipped before any storage read).
-                replay_reads = [
-                    t
-                    for t in range(start_round, record.num_rounds)
-                    if any(
-                        cid not in forget_set
-                        for cid in record.ledger.participants_at(t)
-                    )
-                ]
-                if replay_reads:
-                    prefetcher = RoundPrefetcher(
-                        record.gradients,
-                        replay_reads,
-                        depth=depth,
-                        cache=self.decode_cache,
-                        cancel_check=self.cancel_check,
-                        executor=self.prefetch_executor,
-                    )
-            for t in range(start_round, record.num_rounds):
-                if self.cancel_check is not None:
-                    # Cooperative cancellation checkpoint: only between
-                    # rounds, so an abort always lands on committed state.
-                    self.cancel_check()
-                if self.prefix_cache is not None:
-                    # Committed state at the *start* of round t — the
-                    # resume point a later superset request restores.
-                    snapshots[t] = snapshot_now()
-                with telemetry.span("recovery_round_seconds"):
-                    participants = [
-                        cid
-                        for cid in record.ledger.participants_at(t)
-                        if cid not in forget_set
-                    ]
-                    if not participants:
-                        # Only forgotten clients contributed at t originally; the
-                        # remaining-clients counterfactual has no update this round.
-                        skip(t)
-                        continue
-                    try:
-                        historical = record.params_at(t)
-                    except Exception:
-                        # Damaged record: without w_t neither Eq. 6's displacement
-                        # nor the refresh pairs exist — skip the round, keep going.
-                        skip(t, missing_checkpoint=True)
-                        continue
-                    present: List[Tuple[int, np.ndarray]] = []
-                    round_missing = 0
-                    round_updates: Optional[Dict[int, np.ndarray]] = None
-                    if prefetcher is not None:
-                        # Pipelined read: usually already decoded in the
-                        # background; a miss decodes inline (bitwise the
-                        # same either way), a failure falls through to
-                        # the per-client path below.
-                        round_updates = prefetcher.fetch(t)
-                    elif getattr(record.gradients, "supports_bulk_round", False):
-                        try:
-                            round_updates = record.gradients.get_round(t)
-                        except Exception:
-                            # Damaged round block: fall back to per-client
-                            # reads, which isolate the broken entries.
-                            round_updates = None
-                    if round_updates is not None:
-                        for cid in participants:
-                            stored = round_updates.get(cid)
-                            if stored is None:
-                                # Absent from the cohort: like a
-                                # historical dropout.
-                                missing_entries += 1
-                                round_missing += 1
-                            else:
-                                present.append((cid, stored))
-                    else:
-                        for cid in participants:
-                            try:
-                                stored = record.gradients.get(t, cid)
-                            except Exception:
-                                # Missing/undecodable entry: the client
-                                # contributes nothing this round.
-                                missing_entries += 1
-                                round_missing += 1
-                                continue
-                            present.append((cid, stored))
-                    if telemetry.enabled and round_missing:
-                        telemetry.inc(
-                            "recovery_missing_entries_total", round_missing
-                        )
-                    if not present:
-                        skip(t)
-                        continue
-                    estimates: List[np.ndarray] = []
-                    weights: List[float] = []
-                    refresh_now = (
-                        t - forget_round + 1
-                    ) % self.refresh_period == 0
-                    # Eq. 6's displacement is the same for every client
-                    # in the round — compute it once, not per estimator.
-                    disp_vec = recovered - historical
-                    if executor is None:
-                        for cid, stored in present:
-                            estimate = estimators[cid].estimate_displaced(
-                                stored, disp_vec
-                            )
-                            estimates.append(estimate)
-                            weights.append(record.weight_of(cid))
-                            if refresh_now:
-                                # add_pair copies, so sharing disp_vec
-                                # across clients is safe.
-                                estimators[cid].seed_pair(
-                                    disp_vec, estimate - stored
-                                )
-                    else:
-                        estimates, weights = self._estimate_parallel(
-                            executor,
-                            present,
-                            estimators,
-                            recovered,
-                            historical,
-                            record,
-                            refresh_now,
-                        )
-                    if refresh_now:
-                        # These clients' L-BFGS pairs just changed; the
-                        # next snapshot must copy them afresh.
-                        for cid, _ in present:
-                            pairs_cache.pop(cid, None)
-                    displacement = float(np.linalg.norm(disp_vec))
-                    displacement_norms.append(displacement)
-                    # In-place Eq. 2 on the recovery trajectory; every
-                    # escape of ``recovered`` (checkpoints, callbacks)
-                    # copies, so nothing aliases the live vector.
-                    opt.step_(recovered, aggregate(estimates, weights))
-                    rounds_replayed += 1
-                    if telemetry.enabled:
-                        telemetry.inc("recovery_rounds_total")
-                        telemetry.set_gauge(
-                            "recovery_displacement_norm", displacement
-                        )
-                        telemetry.set_gauge(
-                            "recovery_progress",
-                            (t - forget_round + 1) / replay_window,
-                        )
-                    if checkpoint_due(t):
-                        commit(t)
-                if self.round_callback is not None:
-                    self.round_callback(t, recovered.copy())
-        except Exception:
-            # Abort (deadline, cancellation, substrate fault): every
-            # snapshot collected so far is committed start-of-round
-            # state, so salvaging it can never expose a half-replayed
-            # round — the next request resumes the prefix and recovers
-            # parameters byte-identical to a cold replay.
-            if self.prefix_cache is not None and snapshots:
-                self.prefix_cache.store(
-                    record,
-                    self._cache_base_key(record),
-                    frozenset(forget_set),
-                    forget_round,
-                    snapshots,
-                )
-            raise
-        finally:
-            if prefetcher is not None:
-                # Cancels in-flight decodes and releases every cache pin
-                # even on abort paths — no leaked futures or pinned
-                # entries survive a deadline.
-                prefetcher.close()
-            if executor is not None:
-                executor.close()
-
-        if self.prefix_cache is not None:
-            # Final committed state: a repeated identical request — or a
-            # superset whose extra clients never participated — replays
-            # zero rounds.
-            snapshots[record.num_rounds] = snapshot_now()
-            self.prefix_cache.store(
-                record,
-                self._cache_base_key(record),
-                frozenset(forget_set),
-                forget_round,
-                snapshots,
-            )
-
-        if self.checkpoint_dir is not None and os.path.exists(self._checkpoint_path()):
-            os.remove(self._checkpoint_path())
-
-        pairs_accepted = sum(e.pairs_accepted for e in estimators.values())
-        pairs_rejected = sum(e.pairs_rejected for e in estimators.values())
-        _log.info(
-            "recovered from round %d over %d rounds (%d skipped, %d entries missing); "
-            "pairs +%d/-%d",
-            forget_round,
-            rounds_replayed,
-            skipped_rounds,
-            missing_entries,
-            pairs_accepted,
-            pairs_rejected,
+        (outcome,), _ = forest.fused_unlearn(
+            self, record, [forget_ids], cancel_checks=[self.cancel_check]
         )
-        return UnlearnResult(
-            params=recovered,
-            method=self.name,
-            rounds_replayed=rounds_replayed,
-            client_gradient_calls=0,
-            stats={
-                "forget_round": forget_round,
-                "skipped_rounds": skipped_rounds,
-                "missing_entries": missing_entries,
-                "missing_checkpoints": missing_checkpoints,
-                "resumed_from": progress["resumed_from"],
-                "pairs_accepted": pairs_accepted,
-                "pairs_rejected": pairs_rejected,
-                "mean_displacement": (
-                    float(np.mean(displacement_norms)) if displacement_norms else 0.0
-                ),
-                "max_displacement": (
-                    float(np.max(displacement_norms)) if displacement_norms else 0.0
-                ),
-            },
-        )
+        self.last_cached_prefix_rounds = outcome.cached_prefix_rounds
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.result

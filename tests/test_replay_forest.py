@@ -16,11 +16,26 @@ The contracts under test (``docs/REPLAY.md``):
   corrupts a sibling's results.
 - Daemon fusion (``fusion_width > 1``): one coalesced execution, one
   branch deadline-aborted, the other tickets still byte-identical.
+- Golden digests recorded from the two-engine implementation (a serial
+  round loop beside the tree executor): ``unlearn`` and
+  ``fused_unlearn`` must both reproduce them, so the single engine is
+  checked against numbers its own code did not produce.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from repro.datasets import make_synthetic_mnist, partition_iid
+from repro.fl import (
+    FederatedSimulation,
+    ParticipationSchedule,
+    VehicleClient,
+    with_sign_store,
+)
+from repro.nn import mlp
 from repro.nn.arena import BranchArena
 from repro.nn.optim import SGD
 from repro.serving.daemon import ErasureDaemon
@@ -33,6 +48,9 @@ from repro.unlearning import (
     UnlearningService,
     fused_unlearn,
 )
+from repro.unlearning.estimator import GradientEstimator
+from repro.storage import FullGradientStore
+from repro.utils.rng import SeedSequenceTree
 
 from tests.test_service_cache import (
     CLIP,
@@ -147,6 +165,15 @@ FUSED_SETS = [
     frozenset({6, 7}),      # different backtrack round (F=6)
 ]
 
+FAULT_PLAN = FaultPlan(
+    client_faults={
+        (4, 1): ClientFault("crash"),
+        (8, 6): ClientFault("crash"),
+        (5, 4): ClientFault("flaky", failures=1),
+    },
+    seed=99,
+)
+
 
 class TestFusedByteIdentity:
     @pytest.mark.parametrize("backend", ["dict", "mmap"])
@@ -164,14 +191,7 @@ class TestFusedByteIdentity:
             assert_result_matches(outcome.result, cold_reference(3, set(forget)))
 
     def test_fused_matches_cold_serial_under_faults(self):
-        plan = FaultPlan(
-            client_faults={
-                (4, 1): ClientFault("crash"),
-                (8, 6): ClientFault("crash"),
-                (5, 4): ClientFault("flaky", failures=1),
-            },
-            seed=99,
-        )
+        plan = FAULT_PLAN
         record, model = build_record(11, fault_plan=plan)
         unlearner = fresh_unlearner()
         outcomes, _ = fused_unlearn(unlearner, record, FUSED_SETS)
@@ -347,3 +367,199 @@ class TestDaemonFusion:
         assert (
             telemetry.registry.counter_value("serving_deadline_aborts_total") == 1
         )
+
+
+# ----------------------------------------------------------------------
+# golden digests recorded from the two-engine implementation
+# ----------------------------------------------------------------------
+def digest(result):
+    """SHA-256 over the recovered params, ``rounds_replayed`` and stats."""
+    h = hashlib.sha256(result.params.tobytes())
+    h.update(
+        json.dumps([result.rounds_replayed, result.stats], sort_keys=True).encode()
+    )
+    return h.hexdigest()
+
+
+#: Serial ``unlearn`` over ``FUSED_SETS`` on seed 3.  The dict store,
+#: the mmap store and ``backend="thread"`` all recorded these digests.
+GOLDEN_FUSED_SETS = [
+    "3bd6730a5205eed81c6e955a3a0ac886b23ae5daef319f559dadb619e74af548",
+    "aaf9add3cc740cabf0323d202cdd535c92406daa9caa88e68f702057d4e87afb",
+    "f2e024bee7243d3a2946f5ce073ff9d20d621b7b98d30e452cfaff8de439e7a4",
+    "cd709cc40cc007b61e5248b9d45b71bfe0fa1be5dbe811c836a191cc3ff78e01",
+    "d3730fb331e10f86dd22013e977884111a80b46cce5288e9f27cee9376f26d9f",
+]
+#: Serial ``unlearn`` over ``FUSED_SETS`` on seed 11 under ``FAULT_PLAN``.
+GOLDEN_FAULT_PLAN = [
+    "b0d654d66de799c1bfe0e15b2f7e044dcff4cd769e76cbc587d94be8f93d57e2",
+    "9f55852faf7d17132457f8174453423dd78b3fe7d6b9f7b66dc4d9863a69e7c7",
+    "c0f60d5e0d7b5277357e0e326cebd2835bf2795b043ce7c88bbca69e61dc6bbf",
+    "834c80408f6265999018e7d7fd76fa0a2f3345e9409f55bc580133adf3926815",
+    "f09149da6cd5c9c7cec39781a223f61e1d6e0a53e8cf707038949eb6f8c169a1",
+]
+#: Forget {5, 6} on seed 3, killed at round 8 with checkpoints every 2
+#: rounds, then resumed from round 9 (``resumed_from`` is in the stats).
+GOLDEN_RESUMED = "22fbc7e1ca5f99f80839a952f7ce09fa241ca0725f6bd4b5718f4a5d322c2346"
+
+
+class Killed(RuntimeError):
+    pass
+
+
+def die_at_round_8(t, params):
+    if t >= 8:
+        raise Killed
+
+
+class TestRecordedGoldens:
+    def check(self, record, model, unlearner_kwargs, golden):
+        serial = [
+            digest(
+                SignRecoveryUnlearner(**unlearner_kwargs).unlearn(
+                    record, sorted(forget), model
+                )
+            )
+            for forget in FUSED_SETS
+        ]
+        assert serial == golden
+        outcomes, _ = fused_unlearn(
+            SignRecoveryUnlearner(**unlearner_kwargs), record, FUSED_SETS
+        )
+        assert [digest(o.result) for o in outcomes] == golden
+
+    @pytest.mark.parametrize("backend", ["dict", "mmap"])
+    def test_fused_sets(self, backend, tmp_path):
+        directory = str(tmp_path / "mmap") if backend == "mmap" else None
+        record, model = build_record(3, backend=backend, directory=directory)
+        self.check(record, model, {"clip_threshold": CLIP}, GOLDEN_FUSED_SETS)
+
+    def test_fault_plan_record(self):
+        record, model = build_record(11, fault_plan=FAULT_PLAN)
+        self.check(record, model, {"clip_threshold": CLIP}, GOLDEN_FAULT_PLAN)
+
+    def test_thread_backend(self):
+        record, model = build_record(3)
+        kwargs = {"clip_threshold": CLIP, "backend": "thread", "workers": 2}
+        self.check(record, model, kwargs, GOLDEN_FUSED_SETS)
+
+    @pytest.mark.parametrize("engine", ["unlearn", "fused_unlearn"])
+    def test_crash_resumed_replay(self, engine, tmp_path):
+        record, model = build_record(3)
+
+        def run(unlearner):
+            if engine == "unlearn":
+                return unlearner.unlearn(record, [5, 6], model)
+            (outcome,), _ = fused_unlearn(unlearner, record, [[5, 6]])
+            if outcome.error is not None:
+                raise outcome.error
+            return outcome.result
+
+        ckpt = str(tmp_path)
+        with pytest.raises(Killed):
+            run(
+                SignRecoveryUnlearner(
+                    clip_threshold=CLIP,
+                    round_callback=die_at_round_8,
+                    checkpoint_dir=ckpt,
+                    checkpoint_every=2,
+                )
+            )
+        resumed = run(
+            SignRecoveryUnlearner(
+                clip_threshold=CLIP, checkpoint_dir=ckpt, checkpoint_every=2
+            )
+        )
+        assert resumed.stats["resumed_from"] == 9
+        assert digest(resumed) == GOLDEN_RESUMED
+
+
+# ----------------------------------------------------------------------
+# paths the single engine reaches: fan-out, skipped reads, salvage
+# ----------------------------------------------------------------------
+class TestSingleEngine:
+    def test_fused_thread_backend_fans_out(self):
+        record, _ = build_record(3)
+        telemetry = Telemetry()
+        unlearner = SignRecoveryUnlearner(
+            clip_threshold=CLIP, backend="thread", workers=2
+        )
+        with use_telemetry(telemetry):
+            outcomes, stats = fused_unlearn(unlearner, record, FUSED_SETS)
+        assert stats.forks > 0
+        registry = telemetry.registry
+        assert registry.gauge_value("recovery_parallel_workers") == 2
+        assert registry.histogram("recovery_parallel_dispatch_seconds").count > 0
+        assert registry.histogram("recovery_parallel_gather_seconds").count > 0
+        for forget, outcome in zip(FUSED_SETS, outcomes):
+            assert outcome.error is None
+            assert_result_matches(outcome.result, cold_reference(3, set(forget)))
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_round_no_branch_reads_is_not_decoded(self, prefetch_depth, monkeypatch):
+        # Round 7 has only clients 5 and 6: both members forget both.
+        tree = SeedSequenceTree(5)
+        data = make_synthetic_mnist(160, tree.rng("data"), image_size=8)
+        shards = partition_iid(data, 8, tree.rng("part"))
+        clients = [
+            VehicleClient(i, shards[i], tree.rng(f"c{i}"), batch_size=16)
+            for i in range(8)
+        ]
+        model = mlp(tree.rng("model"), 64, 10, hidden=8)
+        schedule = ParticipationSchedule.with_events(
+            range(8),
+            joins={5: 3, 6: 3, 7: 3},
+            dropouts=[(7, c) for c in range(8) if c not in (5, 6)],
+        )
+        sim = FederatedSimulation(
+            model, clients, 2e-3, schedule=schedule,
+            gradient_store=FullGradientStore(),
+        )
+        record = with_sign_store(sim.run(10), delta=1e-6)
+        assert record.ledger.participants_at(7) == [5, 6]
+        store = record.gradients
+        decoded = []
+        real_get_round = store.get_round
+
+        def counting_get_round(t):
+            decoded.append(t)
+            return real_get_round(t)
+
+        monkeypatch.setattr(store, "get_round", counting_get_round)
+        unlearner = SignRecoveryUnlearner(
+            clip_threshold=CLIP, prefetch_depth=prefetch_depth
+        )
+        outcomes, _ = fused_unlearn(unlearner, record, [[5, 6], [5, 6, 7]])
+        assert all(o.error is None for o in outcomes)
+        assert 7 not in decoded
+        assert sorted(decoded) == [3, 4, 5, 6, 8, 9]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_fault_mid_replay_salvages_committed_snapshots(self, k, monkeypatch):
+        record, model = build_record(3)
+        sets = FUSED_SETS[:k]
+        unlearner = fresh_unlearner()
+        real = GradientEstimator.estimate_displaced
+        calls = {"n": 0}
+
+        def flaky(self, stored, displacement):
+            calls["n"] += 1
+            if calls["n"] == 12:  # round 5, before any fork
+                raise RuntimeError("substrate fault")
+            return real(self, stored, displacement)
+
+        monkeypatch.setattr(GradientEstimator, "estimate_displaced", flaky)
+
+        def serve():
+            if k == 1:
+                result = unlearner.unlearn(record, sorted(sets[0]), model)
+                return [(result, unlearner.last_cached_prefix_rounds)]
+            outcomes, _ = fused_unlearn(unlearner, record, sets)
+            return [(o.result, o.cached_prefix_rounds) for o in outcomes]
+
+        with pytest.raises(RuntimeError, match="substrate fault"):
+            serve()
+        monkeypatch.setattr(GradientEstimator, "estimate_displaced", real)
+        for forget, (result, cached) in zip(sets, serve()):
+            assert cached > 0
+            assert_result_matches(result, cold_reference(3, set(forget)))
